@@ -15,7 +15,9 @@
 //
 // Reported per cell: wall-clock maintenance throughput in source-updates/s
 // (K maintained vectors × edge updates consumed, per second of wall time),
-// the index-over-legacy speedup, the reusable scratch held by each
+// the index-over-legacy speedup, the index's push work next to it (edge
+// traversals per edge update, summed over sources, and the share of push
+// rounds that ran dense), the reusable scratch held by each
 // strategy, and — with --query_threads > 0 — the snapshot-query rate
 // sustained WHILE the index applied its batches (qry/s@maint), the
 // baseline column for the serving benchmark (bench_server_load). The
@@ -116,6 +118,9 @@ struct BenchRow {
   double index_upd_per_s = 0.0;
   double speedup = 0.0;
   std::string mode;  ///< "across" or "intra"
+  /// Index push work over the timed batches; printed, not gated.
+  double edge_traversals_per_update = 0.0;
+  double dense_round_share = 0.0;
   double qry_per_s_at_maint = 0.0;  ///< 0 with --query_threads=0
   int64_t legacy_scratch_bytes = 0;
   int64_t index_scratch_bytes = 0;
@@ -151,11 +156,13 @@ bool WriteJson(const std::string& path, const ArgParser& args,
         "    {\"sources\": %lld, \"batch\": %lld, "
         "\"legacy_upd_per_s\": %.1f, \"index_upd_per_s\": %.1f, "
         "\"speedup\": %.3f, \"mode\": \"%s\", "
+        "\"edge_traversals_per_update\": %.1f, \"dense_round_share\": %.3f, "
         "\"qry_per_s_at_maint\": %.1f, \"legacy_scratch_bytes\": %lld, "
         "\"index_scratch_bytes\": %lld, \"engines\": %lld}%s\n",
         static_cast<long long>(row.sources),
         static_cast<long long>(row.batch), row.legacy_upd_per_s,
         row.index_upd_per_s, row.speedup, row.mode.c_str(),
+        row.edge_traversals_per_update, row.dense_round_share,
         row.qry_per_s_at_maint,
         static_cast<long long>(row.legacy_scratch_bytes),
         static_cast<long long>(row.index_scratch_bytes),
@@ -210,7 +217,8 @@ int main(int argc, char** argv) {
   std::printf("threads=%d query_threads=%d\n\n", NumThreads(),
               query_threads);
   TablePrinter table({"K", "batch", "legacy_upd/s", "index_upd/s",
-                      "speedup", "mode", "qry/s@maint", "legacy_scratch",
+                      "speedup", "mode", "edges/upd", "dense",
+                      "qry/s@maint", "legacy_scratch",
                       "index_scratch", "engines"});
 
   // The recorded batches depend on the ratio only, so the workload is
@@ -269,8 +277,12 @@ int main(int argc, char** argv) {
           queries_served.fetch_add(local, std::memory_order_relaxed);
         });
       }
+      PushCounters work;
       WallTimer index_timer;
-      for (const UpdateBatch& batch : batches) index.ApplyBatch(batch);
+      for (const UpdateBatch& batch : batches) {
+        index.ApplyBatch(batch);
+        work.Add(index.last_batch_stats().sources_total.counters);
+      }
       const double index_seconds = index_timer.Seconds();
       serving.store(false, std::memory_order_release);
       for (auto& reader : readers) reader.join();
@@ -287,13 +299,19 @@ int main(int argc, char** argv) {
                      " all sources agree within 2*eps",
                  worst_err <= 2 * eps, "err=" + std::to_string(worst_err));
 
+      const double edge_updates = static_cast<double>(batches.size()) * 2.0 *
+                                  static_cast<double>(batch_size);
       const double total_source_updates =
-          static_cast<double>(sources.size()) *
-          static_cast<double>(batches.size()) * 2.0 *
-          static_cast<double>(batch_size);
+          static_cast<double>(sources.size()) * edge_updates;
       const double legacy_tp = total_source_updates / legacy_seconds;
       const double index_tp = total_source_updates / index_seconds;
       const double speedup = legacy_seconds / index_seconds;
+      const double edges_per_update =
+          static_cast<double>(work.edge_traversals) / edge_updates;
+      const double dense_share =
+          work.iterations > 0 ? static_cast<double>(work.dense_rounds) /
+                                    static_cast<double>(work.iterations)
+                              : 0.0;
 
       table.AddRow(
           {TablePrinter::FmtInt(num_sources),
@@ -302,6 +320,8 @@ int main(int argc, char** argv) {
            TablePrinter::FmtSci(index_tp, 2),
            TablePrinter::Fmt(speedup, 2),
            index.last_batch_stats().across_sources ? "across" : "intra",
+           TablePrinter::FmtSci(edges_per_update, 2),
+           TablePrinter::Fmt(dense_share, 2),
            query_threads > 0
                ? TablePrinter::FmtSci(
                      static_cast<double>(queries_served.load()) /
@@ -320,6 +340,8 @@ int main(int argc, char** argv) {
       row.speedup = speedup;
       row.mode =
           index.last_batch_stats().across_sources ? "across" : "intra";
+      row.edge_traversals_per_update = edges_per_update;
+      row.dense_round_share = dense_share;
       row.qry_per_s_at_maint =
           query_threads > 0 && index_seconds > 0
               ? static_cast<double>(queries_served.load()) / index_seconds

@@ -19,12 +19,21 @@
 // threshold-violating vertices). The sweeps run in kDenseGrain grains so
 // concurrent flag writes never share a cache line, and bottom out in the
 // runtime-dispatched SIMD primitives of core/cpu_dispatch.h.
+//
+// Nested rounds stay sparse. Dense pays off by removing the atomics of a
+// round a thread team shares; a round under an enclosing parallel region
+// (PprIndex's across-source push, ForEachSourceStealing) runs on one
+// thread and has no atomics to remove, while each dense sweep still costs
+// |V| + |E| however small the frontier. Such rounds always take kOpt —
+// the rule ShouldParallelizeRound applies to forking, applied to
+// direction — and dense_threshold_den governs only rounds outside one.
 
 #include <algorithm>
 #include <atomic>
 
 #include "core/cpu_dispatch.h"
 #include "core/push_kernels.h"
+#include "util/parallel.h"
 
 namespace dppr {
 namespace {
@@ -130,9 +139,10 @@ void PushIterationAdaptive(const PushContext& ctx) {
                           : PprOptions{}.dense_threshold_den;
   const auto m = static_cast<int64_t>(g.NumEdges());
   // den == 0 disables the dense direction; a huge den makes |E|/den zero,
-  // forcing dense for any non-empty frontier (the test/bench knob).
-  const bool want_dense =
-      den > 0 && m > 0 && FrontierWorkExceeds(g, f, m / den);
+  // forcing dense for any non-empty frontier (the test/bench knob). A
+  // round nested in an outer parallel region never goes dense (see top).
+  const bool want_dense = den > 0 && m > 0 && !InParallelRegion() &&
+                          FrontierWorkExceeds(g, f, m / den);
   if (want_dense && f.mode() == FrontierMode::kSparse) {
     f.ConvertToDense(g.NumVertices());
   } else if (!want_dense && f.mode() == FrontierMode::kDense) {

@@ -88,7 +88,8 @@ void PushIterationDense(const PushContext& ctx);
 /// Direction-adaptive iteration (the Ligra heuristic): goes dense when
 /// |frontier| + sum of frontier in-degrees exceeds |E| / dense_threshold_den,
 /// converting the frontier representation as needed, and otherwise
-/// delegates to PushIterationOpt.
+/// delegates to PushIterationOpt. Rounds under an enclosing parallel
+/// region never go dense (see push_adaptive.cc).
 void PushIterationAdaptive(const PushContext& ctx);
 
 namespace internal {

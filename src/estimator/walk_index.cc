@@ -22,13 +22,12 @@ void WalkIndex::Initialize(const DynamicGraph& graph) {
   walks_repaired_ = 0;
   const int64_t total = static_cast<int64_t>(n) * wpv;
   std::vector<Walk> walks(static_cast<size_t>(total));
-#pragma omp parallel for schedule(dynamic, 256)
-  for (int64_t id = 0; id < total; ++id) {
+  ParallelForChunked(0, total, 256, [&](int64_t id) {
     Rng rng = walk_repair::MakeWalkRng(options_.seed, /*epoch=*/0, id);
     int64_t steps = 0;
     walks[static_cast<size_t>(id)] = walk_repair::Simulate(
         graph, options_.alpha, static_cast<VertexId>(id / wpv), &rng, &steps);
-  }
+  });
   for (int64_t id = 0; id < total; ++id) {
     store_.AddWalk(std::move(walks[static_cast<size_t>(id)]));
   }
@@ -43,8 +42,8 @@ void WalkIndex::ApplyUpdate(const DynamicGraph& graph,
   const std::vector<int64_t> affected = store_.WalksThrough(update.u);
 
   std::vector<std::optional<Walk>> replacements(affected.size());
-#pragma omp parallel for schedule(dynamic, 16)
-  for (int64_t i = 0; i < static_cast<int64_t>(affected.size()); ++i) {
+  const auto num_affected = static_cast<int64_t>(affected.size());
+  ParallelForChunked(0, num_affected, 16, [&](int64_t i) {
     const int64_t id = affected[static_cast<size_t>(i)];
     Rng rng = walk_repair::MakeWalkRng(options_.seed, update_epoch, id);
     int64_t steps = 0;
@@ -56,7 +55,7 @@ void WalkIndex::ApplyUpdate(const DynamicGraph& graph,
             : walk_repair::RepairForDelete(graph, options_.alpha,
                                            store_.GetWalk(id), update.u,
                                            update.v, &rng, &steps);
-  }
+  });
   for (size_t i = 0; i < affected.size(); ++i) {
     if (!replacements[i].has_value()) continue;
     store_.ReplaceWalk(affected[i], std::move(*replacements[i]));

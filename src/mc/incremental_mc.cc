@@ -47,11 +47,10 @@ void IncrementalMonteCarlo::Initialize() {
   store_ = WalkStore(graph_->NumVertices());
   const int64_t w = options_.num_walks;
   std::vector<Walk> walks(static_cast<size_t>(w));
-#pragma omp parallel for schedule(dynamic, 256)
-  for (int64_t i = 0; i < w; ++i) {
+  ParallelForChunked(0, w, 256, [&](int64_t i) {
     Rng rng = walk_repair::MakeWalkRng(options_.seed, /*epoch=*/0, i);
     walks[static_cast<size_t>(i)] = SimulateFrom(source_, &rng);
-  }
+  });
   for (int64_t i = 0; i < w; ++i) {
     store_.AddWalk(std::move(walks[static_cast<size_t>(i)]));
     stats_.index_updates +=
@@ -90,14 +89,14 @@ void IncrementalMonteCarlo::HandleInsert(const EdgeUpdate& update) {
 
   std::vector<std::optional<Walk>> replacements(affected.size());
   std::vector<int64_t> steps_per_walk(affected.size(), 0);
-#pragma omp parallel for schedule(dynamic, 16)
-  for (int64_t i = 0; i < static_cast<int64_t>(affected.size()); ++i) {
+  const auto num_affected = static_cast<int64_t>(affected.size());
+  ParallelForChunked(0, num_affected, 16, [&](int64_t i) {
     const int64_t id = affected[static_cast<size_t>(i)];
     Rng rng = walk_repair::MakeWalkRng(options_.seed, epoch_, id);
     replacements[static_cast<size_t>(i)] = walk_repair::RepairForInsert(
         *graph_, options_.alpha, store_.GetWalk(id), u, v, &rng,
         &steps_per_walk[static_cast<size_t>(i)]);
-  }
+  });
   CommitReplacements(affected, &replacements, steps_per_walk);
 }
 
@@ -109,14 +108,14 @@ void IncrementalMonteCarlo::HandleDelete(const EdgeUpdate& update) {
 
   std::vector<std::optional<Walk>> replacements(affected.size());
   std::vector<int64_t> steps_per_walk(affected.size(), 0);
-#pragma omp parallel for schedule(dynamic, 16)
-  for (int64_t i = 0; i < static_cast<int64_t>(affected.size()); ++i) {
+  const auto num_affected = static_cast<int64_t>(affected.size());
+  ParallelForChunked(0, num_affected, 16, [&](int64_t i) {
     const int64_t id = affected[static_cast<size_t>(i)];
     Rng rng = walk_repair::MakeWalkRng(options_.seed, epoch_, id);
     replacements[static_cast<size_t>(i)] = walk_repair::RepairForDelete(
         *graph_, options_.alpha, store_.GetWalk(id), u, v, &rng,
         &steps_per_walk[static_cast<size_t>(i)]);
-  }
+  });
   CommitReplacements(affected, &replacements, steps_per_walk);
 }
 

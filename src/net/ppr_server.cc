@@ -152,6 +152,7 @@ void PprServer::AcceptNewConns() {
     if (fd < 0) return;  // EAGAIN (or a transient error): nothing to do
     ScopedFd scoped(fd);
     if (!SetNonBlocking(fd).ok()) continue;  // drops the connection
+    (void)SetNoDelay(fd);  // best effort, as in TcpConnect
     auto conn = std::make_shared<Conn>(std::move(scoped));
     epoll_event ev{};
     ev.events = EPOLLIN;

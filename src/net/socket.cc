@@ -81,9 +81,7 @@ Status TcpConnect(const std::string& host, int port, ScopedFd* out) {
       last = Errno("connect to " + host + ":" + std::to_string(port));
       continue;
     }
-    const int one = 1;
-    (void)::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one,
-                       sizeof(one));
+    (void)SetNoDelay(fd.get());
     ::freeaddrinfo(results);
     *out = std::move(fd);
     return Status::OK();
@@ -96,6 +94,14 @@ Status SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
     return Errno("fcntl O_NONBLOCK");
+  }
+  return Status::OK();
+}
+
+Status SetNoDelay(int fd) {
+  const int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) != 0) {
+    return Errno("setsockopt TCP_NODELAY");
   }
   return Status::OK();
 }

@@ -54,6 +54,11 @@ Status TcpConnect(const std::string& host, int port, ScopedFd* out);
 
 Status SetNonBlocking(int fd);
 
+/// Sets TCP_NODELAY. Frames are small request/response messages; with
+/// Nagle on, a frame written behind an unacknowledged one waits for the
+/// peer's delayed ACK (about 40 ms on Linux). Both ends set it.
+Status SetNoDelay(int fd);
+
 /// Reads exactly `bytes` from a blocking fd. IOError on EOF or error —
 /// a clean peer close mid-message and a reset look the same to a framed
 /// protocol: the message never completed.

@@ -184,6 +184,56 @@ TEST(PprIndexTest, AcrossSourcePushCorrectUnderOversubscribedThreads) {
   }
 }
 
+TEST(PprIndexTest, AcrossSourceRoundsStaySparseTeamRoundsMayGoDense) {
+  // kAdaptive's dense direction pays off only by removing the atomics of
+  // a round a team shares. An across-source push runs each source on one
+  // thread inside an enclosing region, so its rounds must stay sparse
+  // even when dense_threshold_den demands dense for every round; the
+  // same demand must still turn intra-source (team) rounds dense.
+  ScopedNumThreads guard(2);
+  auto edges = GenerateRmat({.scale = 8, .avg_degree = 8, .seed = 53});
+  EdgeStream stream = EdgeStream::RandomPermutation(std::move(edges), 54);
+  std::vector<Edge> initial;
+  auto batches = RecordWindowBatches(&stream, 0.3, 0.02, 6, &initial);
+  ASSERT_FALSE(batches.empty());
+
+  auto run = [&](IndexPushMode mode, int64_t* dense_rounds) {
+    DynamicGraph graph =
+        DynamicGraph::FromEdges(initial, stream.NumVertices());
+    auto hubs = TopOutDegreeVertices(graph, 6);
+    IndexOptions options;
+    options.ppr.eps = 1e-6;
+    options.ppr.variant = PushVariant::kAdaptive;
+    options.ppr.dense_threshold_den = int64_t{1} << 60;  // m/den == 0
+    options.push_mode = mode;
+    PprIndex index(&graph, hubs, options);
+    ASSERT_GE(index.NumPooledEngines(), 2);
+    index.Initialize();
+    *dense_rounds = 0;
+    for (const UpdateBatch& batch : batches) {
+      index.ApplyBatch(batch);
+      const IndexBatchStats& stats = index.last_batch_stats();
+      EXPECT_EQ(stats.across_sources, mode == IndexPushMode::kAcrossSources);
+      EXPECT_GT(stats.sources_total.counters.iterations, 0);
+      *dense_rounds += stats.sources_total.counters.dense_rounds;
+    }
+    PowerIterationOptions oracle_opt;
+    for (size_t h = 0; h < index.NumSources(); ++h) {
+      auto truth = PowerIterationPpr(graph, index.SourceVertex(h), oracle_opt);
+      EXPECT_LE(MaxAbsError(index.Source(h).Estimates(), truth),
+                options.ppr.eps * 1.0001)
+          << "source " << h;
+    }
+  };
+
+  int64_t across_dense = -1;
+  run(IndexPushMode::kAcrossSources, &across_dense);
+  EXPECT_EQ(across_dense, 0);
+  int64_t intra_dense = -1;
+  run(IndexPushMode::kIntraSource, &intra_dense);
+  EXPECT_GT(intra_dense, 0);
+}
+
 TEST(PprIndexTest, HandlesVerticesBornMidStream) {
   DynamicGraph graph(8);
   graph.AddEdge(0, 1);

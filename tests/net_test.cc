@@ -21,6 +21,10 @@
 // Every server binds port 0 (kernel-assigned), so parallel ctest workers
 // never collide.
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -594,6 +598,61 @@ TEST(PprServerTest, MalformedPeersAreContainedAndCounted) {
               RequestStatus::kOk);
   }
   EXPECT_GT(shard.server.protocol_errors(), 0);
+}
+
+/// TCP_NODELAY as read back from the kernel (-1 when getsockopt fails).
+int NoDelayOf(int fd) {
+  int value = 0;
+  socklen_t len = sizeof(value);
+  if (::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len) != 0) {
+    return -1;
+  }
+  return value != 0 ? 1 : 0;
+}
+
+/// TCP port of a socket's own end (or, with `peer`, its remote end); -1
+/// when `fd` is not a connected IPv4 socket.
+int PortOf(int fd, bool peer) {
+  sockaddr_in addr{};
+  socklen_t len = sizeof(addr);
+  auto* sa = reinterpret_cast<sockaddr*>(&addr);
+  const int rc =
+      peer ? ::getpeername(fd, sa, &len) : ::getsockname(fd, sa, &len);
+  if (rc != 0 || addr.sin_family != AF_INET) return -1;
+  return ntohs(addr.sin_port);
+}
+
+TEST(PprServerTest, BothEndsOfAConnectionSetNoDelay) {
+  // Without TCP_NODELAY a frame queued behind an unacknowledged one waits
+  // for the peer's delayed ACK. The client end is set by TcpConnect, the
+  // accepted end by the server. Server and client share this process, so
+  // both ends are found among its fds by their ports once a round trip
+  // has proved the server accepted the connection.
+  auto edges = GenerateErdosRenyi(64, 400, 5);
+  IndexOptions iopt;
+  iopt.ppr.eps = 1e-5;
+  ServiceOptions sopt;
+  sopt.num_workers = 1;
+  ShardProcess shard(edges, 64, {1}, iopt, sopt);
+
+  net::RemoteShardClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", shard.server.port()).ok());
+  ASSERT_EQ(client.QueryVertexAsync(1, 1, 0).get().status,
+            RequestStatus::kOk);
+
+  const int port = shard.server.port();
+  int client_fd = -1;
+  int server_fd = -1;
+  for (int fd = 0; fd < 4096; ++fd) {
+    const int peer = PortOf(fd, /*peer=*/true);
+    if (peer < 0) continue;  // not a connected IPv4 socket
+    if (peer == port) client_fd = fd;
+    if (PortOf(fd, /*peer=*/false) == port) server_fd = fd;
+  }
+  ASSERT_GE(client_fd, 0);
+  ASSERT_GE(server_fd, 0);
+  EXPECT_EQ(NoDelayOf(client_fd), 1);
+  EXPECT_EQ(NoDelayOf(server_fd), 1);
 }
 
 // --------------------------------------------- router with remote shard
