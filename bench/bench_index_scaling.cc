@@ -15,9 +15,9 @@
 //
 // Reported per cell: wall-clock maintenance throughput in source-updates/s
 // (K maintained vectors × edge updates consumed, per second of wall time),
-// the index-over-legacy speedup, the index's push work next to it (edge
-// traversals per edge update, summed over sources, and the share of push
-// rounds that ran dense), the reusable scratch held by each
+// the index-over-legacy speedup, the index's push work next to it (push
+// ops and edge traversals per edge update, summed over sources, and the
+// share of push rounds that ran dense), the reusable scratch held by each
 // strategy, and — with --query_threads > 0 — the snapshot-query rate
 // sustained WHILE the index applied its batches (qry/s@maint), the
 // baseline column for the serving benchmark (bench_server_load). The
@@ -119,6 +119,7 @@ struct BenchRow {
   double speedup = 0.0;
   std::string mode;  ///< "across" or "intra"
   /// Index push work over the timed batches; printed, not gated.
+  double push_ops_per_update = 0.0;
   double edge_traversals_per_update = 0.0;
   double dense_round_share = 0.0;
   double qry_per_s_at_maint = 0.0;  ///< 0 with --query_threads=0
@@ -156,13 +157,14 @@ bool WriteJson(const std::string& path, const ArgParser& args,
         "    {\"sources\": %lld, \"batch\": %lld, "
         "\"legacy_upd_per_s\": %.1f, \"index_upd_per_s\": %.1f, "
         "\"speedup\": %.3f, \"mode\": \"%s\", "
+        "\"push_ops_per_update\": %.1f, "
         "\"edge_traversals_per_update\": %.1f, \"dense_round_share\": %.3f, "
         "\"qry_per_s_at_maint\": %.1f, \"legacy_scratch_bytes\": %lld, "
         "\"index_scratch_bytes\": %lld, \"engines\": %lld}%s\n",
         static_cast<long long>(row.sources),
         static_cast<long long>(row.batch), row.legacy_upd_per_s,
         row.index_upd_per_s, row.speedup, row.mode.c_str(),
-        row.edge_traversals_per_update, row.dense_round_share,
+        row.push_ops_per_update, row.edge_traversals_per_update, row.dense_round_share,
         row.qry_per_s_at_maint,
         static_cast<long long>(row.legacy_scratch_bytes),
         static_cast<long long>(row.index_scratch_bytes),
@@ -217,7 +219,8 @@ int main(int argc, char** argv) {
   std::printf("threads=%d query_threads=%d\n\n", NumThreads(),
               query_threads);
   TablePrinter table({"K", "batch", "legacy_upd/s", "index_upd/s",
-                      "speedup", "mode", "edges/upd", "dense",
+                      "speedup", "mode", "pushes/upd", "edges/upd",
+                      "dense",
                       "qry/s@maint", "legacy_scratch",
                       "index_scratch", "engines"});
 
@@ -306,6 +309,8 @@ int main(int argc, char** argv) {
       const double legacy_tp = total_source_updates / legacy_seconds;
       const double index_tp = total_source_updates / index_seconds;
       const double speedup = legacy_seconds / index_seconds;
+      const double pushes_per_update =
+          static_cast<double>(work.push_ops) / edge_updates;
       const double edges_per_update =
           static_cast<double>(work.edge_traversals) / edge_updates;
       const double dense_share =
@@ -320,6 +325,7 @@ int main(int argc, char** argv) {
            TablePrinter::FmtSci(index_tp, 2),
            TablePrinter::Fmt(speedup, 2),
            index.last_batch_stats().across_sources ? "across" : "intra",
+           TablePrinter::FmtSci(pushes_per_update, 2),
            TablePrinter::FmtSci(edges_per_update, 2),
            TablePrinter::Fmt(dense_share, 2),
            query_threads > 0
@@ -340,6 +346,7 @@ int main(int argc, char** argv) {
       row.speedup = speedup;
       row.mode =
           index.last_batch_stats().across_sources ? "across" : "intra";
+      row.push_ops_per_update = pushes_per_update;
       row.edge_traversals_per_update = edges_per_update;
       row.dense_round_share = dense_share;
       row.qry_per_s_at_maint =

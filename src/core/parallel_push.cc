@@ -1,6 +1,7 @@
 #include "core/parallel_push.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/macros.h"
 #include "util/parallel.h"
@@ -69,10 +70,7 @@ constexpr int64_t kParallelRoundMaxScan = 65536;
 bool ShouldParallelizeRound(const DynamicGraph& g,
                             std::span<const VertexId> frontier,
                             int64_t min_work) {
-  // Under an enclosing parallel region (PprIndex's across-source push) a
-  // nested omp-for runs on a team of one: atomics and fork overhead would
-  // be pure loss, so the round runs through the plain sequential path.
-  if (NumThreads() == 1 || InParallelRegion()) return false;
+  if (NumThreads() == 1) return false;
   const auto n = static_cast<int64_t>(frontier.size());
   if (n >= kParallelRoundMaxScan || n >= min_work) return true;
   int64_t work = n;
@@ -81,6 +79,18 @@ bool ShouldParallelizeRound(const DynamicGraph& g,
     if (work >= min_work) return true;
   }
   return false;
+}
+
+// Per-round accounting shared by both run shapes.
+void RecordRound(const PprOptions& options, int64_t frontier_size,
+                 PushStats* stats) {
+  if (options.record_iteration_trace) {
+    stats->frontier_trace.push_back(frontier_size);
+  }
+  ++stats->counters.iterations;
+  stats->counters.frontier_total += frontier_size;
+  stats->counters.frontier_max =
+      std::max(stats->counters.frontier_max, frontier_size);
 }
 
 }  // namespace
@@ -107,21 +117,14 @@ void ParallelPushEngine::RunPhase(const DynamicGraph& g, PprState* state,
       // only entered past the direction threshold — far beyond any
       // sensible min_work — and use no atomics, so a team is always worth
       // forking when one exists.
-      ctx.parallel_round = options_.force_parallel_rounds ||
-                           (NumThreads() > 1 && !InParallelRegion());
+      ctx.parallel_round = options_.force_parallel_rounds || NumThreads() > 1;
     } else {
       ctx.parallel_round =
           options_.force_parallel_rounds ||
           ShouldParallelizeRound(g, frontier_.Current(),
                                  options_.parallel_round_min_work);
     }
-    if (options_.record_iteration_trace) {
-      stats->frontier_trace.push_back(frontier_size);
-    }
-    ++stats->counters.iterations;
-    stats->counters.frontier_total += frontier_size;
-    stats->counters.frontier_max =
-        std::max(stats->counters.frontier_max, frontier_size);
+    RecordRound(options_, frontier_size, stats);
     if (phase == Phase::kPos) {
       ++stats->pos_iterations;
     } else {
@@ -165,8 +168,12 @@ void ParallelPushEngine::Run(const DynamicGraph& g, PprState* state,
   thread_counters_.Reset();
 
   WallTimer timer;
-  RunPhase(g, state, Phase::kPos, touched, stats);
-  RunPhase(g, state, Phase::kNeg, touched, stats);
+  if (InParallelRegion()) {
+    RunSigned(g, state, touched, stats);
+  } else {
+    RunPhase(g, state, Phase::kPos, touched, stats);
+    RunPhase(g, state, Phase::kNeg, touched, stats);
+  }
   stats->push_seconds += timer.Seconds();
 
   PushCounters aggregated = thread_counters_.Aggregate();
@@ -178,8 +185,99 @@ void ParallelPushEngine::Run(const DynamicGraph& g, PprState* state,
   stats->counters.Add(aggregated);
 }
 
+// One thread, one signed phase: kOpt's round structure with |r| > eps as
+// the push condition. Residuals are no longer monotone within a round, so
+// "crossed the threshold on this increment" no longer proves a vertex is
+// not queued yet; queued_ answers that instead. Every push moves at least
+// eps of residual mass (pushes of a residual that cancelled down to
+// |r| <= eps before its turn are skipped), so Σ|r|·w for PageRank-weighted
+// w falls by at least alpha*eps per push and the run terminates.
+void ParallelPushEngine::RunSigned(const DynamicGraph& g, PprState* state,
+                                   std::span<const VertexId> touched,
+                                   PushStats* stats) {
+  const auto n = static_cast<size_t>(g.NumVertices());
+  if (queued_.size() < n) queued_.resize(n, 0);
+  uint8_t* const queued = queued_.data();
+  double* const r = state->r.data();
+  double* const p = state->p.data();
+  const double eps = options_.eps;
+  const double alpha = options_.alpha;
+  PushCounters& c = thread_counters_.Local(0);
+  auto enqueue_new = [&](VertexId v) {
+    const auto vi = static_cast<size_t>(v);
+    if (queued[vi] == 0 && std::abs(r[vi]) > eps) {
+      queued[vi] = 1;
+      frontier_.Enqueue(0, v);
+      return true;
+    }
+    return false;
+  };
+
+  frontier_.Clear();
+  if (options_.full_scan_frontier_init) {
+    for (size_t v = 0; v < n; ++v) enqueue_new(static_cast<VertexId>(v));
+  } else {
+    for (VertexId u : touched) enqueue_new(u);
+  }
+  int64_t frontier_size = frontier_.FlushToCurrent();
+  auto& w = scratch_.frontier_w;
+
+  while (frontier_size > 0) {
+    RecordRound(options_, frontier_size, stats);
+    const auto frontier = frontier_.Current();
+    w.resize(frontier.size());
+
+    // Session 1 — read each frontier vertex's fresh residual and scatter
+    // it along its in-edges, enqueueing receivers that are not queued yet
+    // and now violate the threshold.
+    for (size_t i = 0; i < frontier.size(); ++i) {
+      const VertexId u = frontier[i];
+      const double ru = r[static_cast<size_t>(u)];
+      if (std::abs(ru) <= eps) {
+        w[i] = 0.0;
+        continue;
+      }
+      w[i] = ru;
+      ++c.push_ops;
+      const auto nbrs = g.InNeighbors(u);
+      const auto deg = static_cast<int64_t>(nbrs.size());
+      for (int64_t j = 0; j < deg; ++j) {
+        if (j + kPrefetchDistance < deg) {
+          PrefetchWrite(&r[static_cast<size_t>(nbrs[j + kPrefetchDistance])]);
+        }
+        const VertexId v = nbrs[static_cast<size_t>(j)];
+        r[static_cast<size_t>(v)] +=
+            (1.0 - alpha) * ru / static_cast<double>(g.OutDegree(v));
+        ++c.edge_traversals;
+        if (enqueue_new(v)) {
+          ++c.enqueue_attempts;
+          ++c.enqueued;
+        }
+      }
+    }
+
+    // Session 2 — subtract what was pushed (increments that arrived after
+    // the session-1 read survive) and keep u queued while |r[u]| > eps.
+    for (size_t i = 0; i < frontier.size(); ++i) {
+      const VertexId u = frontier[i];
+      const auto ui = static_cast<size_t>(u);
+      const double ru = w[i];
+      p[ui] += alpha * ru;
+      r[ui] -= ru;
+      if (std::abs(r[ui]) > eps) {
+        ++c.enqueue_attempts;
+        ++c.enqueued;
+        frontier_.Enqueue(0, u);
+      } else {
+        queued[ui] = 0;
+      }
+    }
+    frontier_size = frontier_.FlushToCurrent();
+  }
+}
+
 size_t ParallelPushEngine::ApproxScratchBytes() const {
-  size_t bytes = frontier_.ApproxBytes();
+  size_t bytes = frontier_.ApproxBytes() + queued_.capacity();
   bytes += scratch_.frontier_w.capacity() * sizeof(double);
   bytes += scratch_.dense_w.capacity() * sizeof(double);
   bytes += scratch_.merged_pairs.capacity() *

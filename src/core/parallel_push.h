@@ -1,14 +1,18 @@
 // ParallelLocalPush engine: drives a push-kernel variant to convergence.
 //
-// Mirrors Algorithm 3's outer structure: a positive phase followed by a
-// negative phase, each iterating ParallelPush until the frontier drains.
-// Frontier initialization supports both the literal full vertex scan of
-// Algorithm 3 line 1 and the batch-local seeding from the vertices
-// RestoreInvariant touched (equivalent results; see PprOptions).
+// A team run mirrors Algorithm 3's outer structure: a positive phase
+// followed by a negative phase, each iterating the variant's kernel until
+// the frontier drains. A run nested in an enclosing parallel region
+// (PprIndex's across-source push) runs on one thread instead and pushes
+// residuals of either sign in one signed phase (see Run). Frontier
+// initialization supports both the literal full vertex scan of Algorithm 3
+// line 1 and the batch-local seeding from the vertices RestoreInvariant
+// touched (equivalent results; see PprOptions).
 
 #ifndef DPPR_CORE_PARALLEL_PUSH_H_
 #define DPPR_CORE_PARALLEL_PUSH_H_
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -25,6 +29,9 @@ namespace dppr {
 /// single update, or an initialization).
 struct PushStats {
   PushCounters counters;
+  /// Rounds of a team run's positive and negative phase. A signed run
+  /// (nested in a parallel region) counts its rounds only in
+  /// counters.iterations and leaves both at 0.
   int pos_iterations = 0;
   int neg_iterations = 0;
   double restore_seconds = 0.0;
@@ -51,8 +58,19 @@ class ParallelPushEngine {
  public:
   ParallelPushEngine(const PprOptions& options, int max_threads);
 
-  /// Pushes until convergence (both phases), accumulating into *stats.
-  /// `touched` seeds the frontier (ignored under full-scan init).
+  /// Pushes until every |r| <= eps, accumulating into *stats. `touched`
+  /// seeds the frontier (ignored under full-scan init).
+  ///
+  /// Outside a parallel region the run forks thread teams and takes the
+  /// paper's two monotone phases (positives, then negatives) through the
+  /// configured variant's kernel: monotone residuals are what let the
+  /// threads of a round detect duplicate enqueues without locks (§4.2).
+  /// Under an enclosing region (PprIndex's across-source push) the run is
+  /// one thread's, so monotonicity buys nothing: it pushes residuals of
+  /// either sign in ONE signed phase with kOpt's round structure for every
+  /// variant, and opposite-signed waves of a batch cancel instead of
+  /// travelling the same paths one after the other. An all-positive run
+  /// (Initialize) pushes bit for bit what a one-thread kOpt run does.
   void Run(const DynamicGraph& g, PprState* state,
            std::span<const VertexId> touched, PushStats* stats);
 
@@ -69,11 +87,17 @@ class ParallelPushEngine {
                        Phase phase, std::span<const VertexId> touched);
   void RunPhase(const DynamicGraph& g, PprState* state, Phase phase,
                 std::span<const VertexId> touched, PushStats* stats);
+  void RunSigned(const DynamicGraph& g, PprState* state,
+                 std::span<const VertexId> touched, PushStats* stats);
 
   PprOptions options_;
   Frontier frontier_;
   PushScratch scratch_;
   ThreadCounters thread_counters_;
+  /// Frontier membership of a signed run, one byte per vertex (current
+  /// frontier or already enqueued for the next round). Plain bytes: a
+  /// signed run has no concurrent writers. All clear between runs.
+  std::vector<uint8_t> queued_;
 };
 
 }  // namespace dppr

@@ -67,10 +67,11 @@ struct PprOptions {
   /// it to switch earlier (a huge value forces dense whenever the
   /// frontier is non-empty — the bench/test forcing knob), set 0 to
   /// disable dense mode entirely (kAdaptive then degenerates to kOpt).
-  /// Applies only to rounds outside an enclosing parallel region: a
-  /// nested round (PprIndex's across-source push) runs on one thread, so
-  /// dense would remove no atomics yet sweep all |V| + |E| — it always
-  /// stays sparse.
+  /// Applies only to team runs: a push nested in an enclosing parallel
+  /// region (PprIndex's across-source push) runs on one thread in the
+  /// engine's signed one-phase loop and never reaches a round kernel, so
+  /// it never goes dense (dense would remove no atomics there yet sweep
+  /// all |V| + |E|).
   int64_t dense_threshold_den = 20;
 
   /// Pins the vectorized sweeps to their scalar fallbacks regardless of

@@ -20,20 +20,18 @@
 // concurrent flag writes never share a cache line, and bottom out in the
 // runtime-dispatched SIMD primitives of core/cpu_dispatch.h.
 //
-// Nested rounds stay sparse. Dense pays off by removing the atomics of a
-// round a thread team shares; a round under an enclosing parallel region
-// (PprIndex's across-source push, ForEachSourceStealing) runs on one
-// thread and has no atomics to remove, while each dense sweep still costs
-// |V| + |E| however small the frontier. Such rounds always take kOpt —
-// the rule ShouldParallelizeRound applies to forking, applied to
-// direction — and dense_threshold_den governs only rounds outside one.
+// Only team runs reach this kernel. A push nested in an enclosing
+// parallel region (PprIndex's across-source push) runs on one thread, and
+// ParallelPushEngine::Run gives it the engine's own signed one-phase loop
+// instead of any round kernel, so no direction switch applies to it: the
+// dense sweep pays off by removing the atomics of a round a team shares,
+// and a one-thread push has none to remove.
 
 #include <algorithm>
 #include <atomic>
 
 #include "core/cpu_dispatch.h"
 #include "core/push_kernels.h"
-#include "util/parallel.h"
 
 namespace dppr {
 namespace {
@@ -139,10 +137,9 @@ void PushIterationAdaptive(const PushContext& ctx) {
                           : PprOptions{}.dense_threshold_den;
   const auto m = static_cast<int64_t>(g.NumEdges());
   // den == 0 disables the dense direction; a huge den makes |E|/den zero,
-  // forcing dense for any non-empty frontier (the test/bench knob). A
-  // round nested in an outer parallel region never goes dense (see top).
-  const bool want_dense = den > 0 && m > 0 && !InParallelRegion() &&
-                          FrontierWorkExceeds(g, f, m / den);
+  // forcing dense for any non-empty frontier (the test/bench knob).
+  const bool want_dense =
+      den > 0 && m > 0 && FrontierWorkExceeds(g, f, m / den);
   if (want_dense && f.mode() == FrontierMode::kSparse) {
     f.ConvertToDense(g.NumVertices());
   } else if (!want_dense && f.mode() == FrontierMode::kDense) {

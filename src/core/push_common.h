@@ -28,10 +28,13 @@ inline void PrefetchWrite(const void* addr) {
   __builtin_prefetch(addr, /*rw=*/1, /*locality=*/1);
 }
 
-/// The two passes of every local push: positive residuals first, then
-/// negative ones (Algorithm 2 lines 1-4, Algorithm 3 lines 1-6). Within a
-/// phase all pushed mass has one sign, so residuals move monotonically —
-/// the property local duplicate detection relies on (§4.2).
+/// The two passes of a team push and of Algorithm 2: positive residuals
+/// first, then negative ones (Algorithm 2 lines 1-4, Algorithm 3 lines
+/// 1-6). Within a phase all pushed mass has one sign, so residuals move
+/// monotonically — the property local duplicate detection relies on
+/// (§4.2). A push nested in an enclosing parallel region runs on one
+/// thread, needs no such detection, and pushes both signs in one signed
+/// phase instead (ParallelPushEngine::Run).
 enum class Phase { kPos, kNeg };
 
 /// pushCond of Algorithm 3: does residual `r` activate a vertex?

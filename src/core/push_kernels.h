@@ -88,8 +88,8 @@ void PushIterationDense(const PushContext& ctx);
 /// Direction-adaptive iteration (the Ligra heuristic): goes dense when
 /// |frontier| + sum of frontier in-degrees exceeds |E| / dense_threshold_den,
 /// converting the frontier representation as needed, and otherwise
-/// delegates to PushIterationOpt. Rounds under an enclosing parallel
-/// region never go dense (see push_adaptive.cc).
+/// delegates to PushIterationOpt. Only team runs reach it; a push nested
+/// in an enclosing parallel region never goes dense (see push_adaptive.cc).
 void PushIterationAdaptive(const PushContext& ctx);
 
 namespace internal {

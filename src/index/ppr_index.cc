@@ -541,9 +541,9 @@ void PprIndex::PushAll(const std::vector<SourceSlot*>& slots,
   WallTimer push_timer;
   if (across) {
     // Work-stealing over sources; each worker leases the pool engine
-    // matching its slot. Inside the parallel region every push runs its
-    // sequential code path (see ShouldParallelizeRound), so an engine
-    // serves exactly one source at a time. The sequential variant needs no
+    // matching its slot. Inside the parallel region every push is the
+    // engine's one-thread signed run (see ParallelPushEngine::Run), so an
+    // engine serves exactly one source at a time. The sequential variant needs no
     // engines, so every thread may work a source.
     const int workers = pool_.size() > 0 ? pool_.size() : NumThreads();
     if (workers > 1 && slots.size() >= 2 && NumThreads() > 1) {

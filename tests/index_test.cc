@@ -234,6 +234,112 @@ TEST(PprIndexTest, AcrossSourceRoundsStaySparseTeamRoundsMayGoDense) {
   EXPECT_GT(intra_dense, 0);
 }
 
+TEST(PprIndexTest, AcrossSourcePushesOneSignedPhase) {
+  // An across-source push runs each source on one thread, where the
+  // paper's positive-then-negative split buys nothing: the engine pushes
+  // residuals of either sign in one phase, so the opposite-signed waves a
+  // deleting batch creates cancel instead of travelling one after the
+  // other. The ±eps bound must hold as in the two-phase team run, with
+  // markedly fewer pushes for the same batches.
+  ScopedNumThreads guard(2);
+  auto edges = GenerateRmat({.scale = 8, .avg_degree = 8, .seed = 61});
+  EdgeStream stream = EdgeStream::RandomPermutation(std::move(edges), 62);
+  std::vector<Edge> initial;
+  auto batches = RecordWindowBatches(&stream, 0.3, 0.02, 8, &initial);
+  ASSERT_FALSE(batches.empty());
+
+  auto run = [&](IndexPushMode mode) {
+    DynamicGraph graph =
+        DynamicGraph::FromEdges(initial, stream.NumVertices());
+    auto hubs = TopOutDegreeVertices(graph, 6);
+    IndexOptions options;
+    options.ppr.eps = 1e-6;
+    options.push_mode = mode;
+    PprIndex index(&graph, hubs, options);
+    index.Initialize();
+    PushStats total;
+    for (const UpdateBatch& batch : batches) {
+      index.ApplyBatch(batch);
+      EXPECT_EQ(index.last_batch_stats().across_sources,
+                mode == IndexPushMode::kAcrossSources);
+      total.Add(index.last_batch_stats().sources_total);
+    }
+    PowerIterationOptions oracle_opt;
+    for (size_t h = 0; h < index.NumSources(); ++h) {
+      EXPECT_LE(index.Source(h).state().MaxAbsResidual(), options.ppr.eps)
+          << "source " << h;
+      auto truth = PowerIterationPpr(graph, index.SourceVertex(h), oracle_opt);
+      EXPECT_LE(MaxAbsError(index.Source(h).Estimates(), truth),
+                options.ppr.eps * 1.0001)
+          << "source " << h;
+    }
+    return total;
+  };
+
+  const PushStats across = run(IndexPushMode::kAcrossSources);
+  EXPECT_GT(across.counters.iterations, 0);
+  EXPECT_EQ(across.neg_iterations, 0);
+  const PushStats intra = run(IndexPushMode::kIntraSource);
+  EXPECT_GT(intra.neg_iterations, 0);  // the batches do delete edges
+  EXPECT_LE(static_cast<double>(across.counters.push_ops),
+            0.75 * static_cast<double>(intra.counters.push_ops))
+      << "across " << across.counters.push_ops << " vs intra "
+      << intra.counters.push_ops;
+}
+
+TEST(PprIndexTest, NestedInitializeMatchesOneThreadOpt) {
+  // Initialize pushes only positive mass, so the signed across-source run
+  // must reproduce, bit for bit, what a one-thread kOpt engine computes
+  // outside any parallel region — whatever variant the index runs.
+  auto edges = GenerateRmat({.scale = 8, .avg_degree = 8, .seed = 67});
+  const DynamicGraph graph = DynamicGraph::FromEdges(edges, 256);
+  const auto hubs = TopOutDegreeVertices(graph, 4);
+  PprOptions opt;
+  opt.eps = 1e-6;
+  opt.variant = PushVariant::kOpt;
+  std::vector<std::unique_ptr<DynamicPpr>> solo;
+  std::vector<DynamicGraph> solo_graphs;
+  for (size_t h = 0; h < hubs.size(); ++h) {
+    solo_graphs.push_back(DynamicGraph::FromEdges(edges, 256));
+  }
+  {
+    ScopedNumThreads one(1);
+    for (size_t h = 0; h < hubs.size(); ++h) {
+      solo.push_back(std::make_unique<DynamicPpr>(&solo_graphs[h], hubs[h],
+                                                  opt));
+      solo.back()->Initialize();
+    }
+  }
+
+  ScopedNumThreads guard(2);
+  for (PushVariant variant : {PushVariant::kOpt, PushVariant::kAdaptive,
+                              PushVariant::kVanilla}) {
+    DynamicGraph index_graph = DynamicGraph::FromEdges(edges, 256);
+    IndexOptions options;
+    options.ppr = opt;
+    options.ppr.variant = variant;
+    options.push_mode = IndexPushMode::kAcrossSources;
+    PprIndex index(&index_graph, hubs, options);
+    ASSERT_GE(index.NumPooledEngines(), 2);
+    index.Initialize();
+    EXPECT_TRUE(index.last_batch_stats().across_sources);
+    EXPECT_EQ(index.last_batch_stats().sources_total.counters.push_ops,
+              [&] {
+                int64_t ops = 0;
+                for (const auto& ppr : solo) {
+                  ops += ppr->last_stats().counters.push_ops;
+                }
+                return ops;
+              }());
+    for (size_t h = 0; h < hubs.size(); ++h) {
+      EXPECT_EQ(index.Source(h).Estimates(), solo[h]->Estimates())
+          << PushVariantName(variant) << " source " << h;
+      EXPECT_EQ(index.Source(h).Residuals(), solo[h]->Residuals())
+          << PushVariantName(variant) << " source " << h;
+    }
+  }
+}
+
 TEST(PprIndexTest, HandlesVerticesBornMidStream) {
   DynamicGraph graph(8);
   graph.AddEdge(0, 1);
