@@ -12,13 +12,14 @@
 //    SIMD level over flat arrays; the scalar/AVX2 gap in isolation.
 //  * push rows — full maintenance kernels (opt = Algorithm 4 baseline,
 //    adaptive = Ligra switch, dense = adaptive with the threshold forced
-//    so every round pulls) in two regimes: "scratch" (from-scratch
+//    so every round pulls, signed = the one-thread signed run every
+//    serving push takes) in two regimes: "scratch" (from-scratch
 //    initialization: huge frontiers, the dense kernel's home turf) and
 //    "batch" (small sliding batches: tiny frontiers, where adaptive must
 //    match opt within noise because it IS opt there).
 //
-// The binary shape-checks that adaptive and opt converge to the same
-// estimates (<= 2 eps apart) before reporting, so a throughput row can
+// The binary shape-checks that adaptive and signed each converge to the
+// estimates opt does (<= 2 eps apart) before reporting, so a throughput row can
 // never come from a kernel that silently diverged. --json=PATH writes the
 // same {"bench", "config", "rows"} document shape as bench_server_load;
 // CI uploads it as the BENCH_micro_kernels.json artifact.
@@ -26,6 +27,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cpu_dispatch.h"
@@ -167,6 +169,8 @@ struct KernelConfig {
   std::string name;
   PushVariant variant = PushVariant::kOpt;
   int64_t dense_threshold_den = 20;
+  /// Push through ParallelPushEngine::RunSigned (DynamicPpr::SetSignedPush).
+  bool signed_push = false;
 };
 
 PprOptions MakeOptions(const KernelConfig& kernel, double eps,
@@ -187,6 +191,7 @@ Row BenchScratch(const DynamicGraph& g, const KernelConfig& kernel,
   int64_t edges = 0, iters = 0, dense = 0;
   for (int64_t rep = 0; rep < reps; ++rep) {
     DynamicPpr ppr(const_cast<DynamicGraph*>(&g), 0, options);
+    ppr.SetSignedPush(kernel.signed_push);
     WallTimer t;
     ppr.Initialize();
     seconds += t.Seconds();
@@ -213,6 +218,7 @@ Row BenchBatch(const DynamicGraph& base, const KernelConfig& kernel,
   const PprOptions options = MakeOptions(kernel, eps, force_scalar);
   DynamicGraph g = base;  // ApplyBatch mutates the graph
   DynamicPpr ppr(&g, 0, options);
+  ppr.SetSignedPush(kernel.signed_push);
   ppr.Initialize();
   const auto n = g.NumVertices();
   Rng rng(seed);
@@ -308,19 +314,21 @@ int main(int argc, char** argv) {
       // Threshold forced huge: every non-empty round runs dense — the
       // pull sweep in isolation.
       {"dense", PushVariant::kAdaptive, int64_t{1} << 60},
+      {"signed", PushVariant::kOpt, 20, /*signed_push=*/true},
   };
 
-  std::vector<double> opt_estimates, adaptive_estimates;
+  std::vector<double> opt_estimates, adaptive_estimates, signed_estimates;
   for (const KernelConfig& kernel : kernels) {
     const bool uses_simd = kernel.variant == PushVariant::kAdaptive;
     for (SimdLevel level : levels) {
       const bool force_scalar = level == SimdLevel::kScalar;
-      if (!uses_simd && !force_scalar) continue;  // opt has no SIMD path
+      if (!uses_simd && !force_scalar) continue;  // kOpt has no SIMD path
       std::vector<double>* capture = nullptr;
       if (force_scalar && kernel.name == "opt") capture = &opt_estimates;
       if (force_scalar && kernel.name == "adaptive") {
         capture = &adaptive_estimates;
       }
+      if (force_scalar && kernel.name == "signed") capture = &signed_estimates;
       Row row = BenchScratch(g, kernel, eps, force_scalar, reps, capture);
       PrintRow(row);
       rows.push_back(row);
@@ -331,13 +339,21 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Shape check: the adaptive kernel must land on the same answer as the
-  // Algorithm 4 baseline — both are eps-approximations of the same vector,
-  // so their estimates can differ by at most 2 eps.
-  const double diff = MaxAbsDiff(opt_estimates, adaptive_estimates);
-  const bool ok = !opt_estimates.empty() && diff <= 2.0 * eps;
-  std::printf("\nshape-check: adaptive matches opt: %s (max |dp| = %.3g)\n",
-              ok ? "OK" : "VIOLATED", diff);
+  // Shape check: the adaptive kernel and the signed run must land on the
+  // same answer as the Algorithm 4 baseline — all are eps-approximations
+  // of the same vector, so their estimates can differ by at most 2 eps.
+  bool ok = true;
+  std::printf("\n");
+  for (const auto& [name, estimates] :
+       {std::pair{"adaptive", &adaptive_estimates},
+        std::pair{"signed", &signed_estimates}}) {
+    const double diff = MaxAbsDiff(opt_estimates, *estimates);
+    const bool row_ok = !opt_estimates.empty() && !estimates->empty() &&
+                        diff <= 2.0 * eps;
+    std::printf("shape-check: %s matches opt: %s (max |dp| = %.3g)\n", name,
+                row_ok ? "OK" : "VIOLATED", diff);
+    ok = ok && row_ok;
+  }
 
   if (!json_path.empty()) {
     if (!WriteJson(json_path, args, rows)) {

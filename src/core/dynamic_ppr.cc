@@ -131,7 +131,11 @@ void DynamicPpr::Push(std::span<const VertexId> touched) {
     }
     engine = owned_engine_.get();
   }
-  engine->Run(*graph_, &state_, touched, &stats_);
+  if (signed_push_) {
+    engine->RunSigned(*graph_, &state_, touched, &stats_);
+  } else {
+    engine->Run(*graph_, &state_, touched, &stats_);
+  }
 }
 
 }  // namespace dppr

@@ -130,6 +130,12 @@ class DynamicPpr {
   /// running two sources on one engine concurrently.
   void SetEngine(ParallelPushEngine* engine);
 
+  /// Runs this instance's engine pushes as the one-thread signed run
+  /// (ParallelPushEngine::RunSigned) instead of letting Run choose the
+  /// shape. PprIndex turns it on while it pushes at one thread; off by
+  /// default, so a standalone instance keeps its variant's kernel.
+  void SetSignedPush(bool on) { signed_push_ = on; }
+
   /// The engine pushes currently run on (null until the first parallel
   /// push when no engine was injected).
   const ParallelPushEngine* engine() const {
@@ -145,6 +151,7 @@ class DynamicPpr {
   PprState state_;
   ParallelPushEngine* external_engine_ = nullptr;  ///< injected, not owned
   std::unique_ptr<ParallelPushEngine> owned_engine_;  ///< lazy fallback
+  bool signed_push_ = false;
   std::vector<VertexId> touched_;
   PushStats stats_;
 };

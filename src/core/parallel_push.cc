@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/macros.h"
 #include "util/parallel.h"
@@ -160,6 +161,10 @@ void ParallelPushEngine::RunPhase(const DynamicGraph& g, PprState* state,
 void ParallelPushEngine::Run(const DynamicGraph& g, PprState* state,
                              std::span<const VertexId> touched,
                              PushStats* stats) {
+  if (InParallelRegion()) {
+    RunSigned(g, state, touched, stats);
+    return;
+  }
   DPPR_CHECK(state != nullptr && stats != nullptr);
   state->Resize(g.NumVertices());
   frontier_.EnsureCapacity(g.NumVertices());
@@ -168,12 +173,8 @@ void ParallelPushEngine::Run(const DynamicGraph& g, PprState* state,
   thread_counters_.Reset();
 
   WallTimer timer;
-  if (InParallelRegion()) {
-    RunSigned(g, state, touched, stats);
-  } else {
-    RunPhase(g, state, Phase::kPos, touched, stats);
-    RunPhase(g, state, Phase::kNeg, touched, stats);
-  }
+  RunPhase(g, state, Phase::kPos, touched, stats);
+  RunPhase(g, state, Phase::kNeg, touched, stats);
   stats->push_seconds += timer.Seconds();
 
   PushCounters aggregated = thread_counters_.Aggregate();
@@ -192,55 +193,72 @@ void ParallelPushEngine::Run(const DynamicGraph& g, PprState* state,
 // eps of residual mass (pushes of a residual that cancelled down to
 // |r| <= eps before its turn are skipped), so Σ|r|·w for PageRank-weighted
 // w falls by at least alpha*eps per push and the run terminates.
+//
+// The per-edge loop has no data-dependent branch: an enqueue always
+// writes the candidate at next[tail] and advances tail by the 0/1 test
+// result, so a rejected candidate is overwritten by the next one.
 void ParallelPushEngine::RunSigned(const DynamicGraph& g, PprState* state,
                                    std::span<const VertexId> touched,
                                    PushStats* stats) {
+  DPPR_CHECK(state != nullptr && stats != nullptr);
+  state->Resize(g.NumVertices());
+  WallTimer timer;
   const auto n = static_cast<size_t>(g.NumVertices());
   if (queued_.size() < n) queued_.resize(n, 0);
+  // queued_ keeps a vertex at most once in a round's next frontier, so n
+  // slots hold any frontier; the extra slot takes the unconditional write
+  // of a rejected candidate when all n are queued.
+  if (signed_current_.size() < n + 1) {
+    signed_current_.resize(n + 1);
+    signed_next_.resize(n + 1);
+  }
   uint8_t* const queued = queued_.data();
+  VertexId* current = signed_current_.data();
+  VertexId* next = signed_next_.data();
   double* const r = state->r.data();
   double* const p = state->p.data();
   const double eps = options_.eps;
   const double alpha = options_.alpha;
-  PushCounters& c = thread_counters_.Local(0);
+  size_t tail = 0;
   auto enqueue_new = [&](VertexId v) {
     const auto vi = static_cast<size_t>(v);
-    if (queued[vi] == 0 && std::abs(r[vi]) > eps) {
-      queued[vi] = 1;
-      frontier_.Enqueue(0, v);
-      return true;
-    }
-    return false;
+    const auto add =
+        static_cast<uint8_t>((queued[vi] == 0) & (std::abs(r[vi]) > eps));
+    queued[vi] |= add;
+    next[tail] = v;
+    tail += add;
   };
 
-  frontier_.Clear();
   if (options_.full_scan_frontier_init) {
     for (size_t v = 0; v < n; ++v) enqueue_new(static_cast<VertexId>(v));
   } else {
     for (VertexId u : touched) enqueue_new(u);
   }
-  int64_t frontier_size = frontier_.FlushToCurrent();
+  int64_t push_ops = 0, edge_traversals = 0, enqueued = 0;
   auto& w = scratch_.frontier_w;
 
-  while (frontier_size > 0) {
-    RecordRound(options_, frontier_size, stats);
-    const auto frontier = frontier_.Current();
-    w.resize(frontier.size());
+  while (tail > 0) {
+    std::swap(current, next);
+    const size_t frontier_size = tail;
+    tail = 0;
+    RecordRound(options_, static_cast<int64_t>(frontier_size), stats);
+    w.resize(frontier_size);
 
     // Session 1 — read each frontier vertex's fresh residual and scatter
     // it along its in-edges, enqueueing receivers that are not queued yet
     // and now violate the threshold.
-    for (size_t i = 0; i < frontier.size(); ++i) {
-      const VertexId u = frontier[i];
+    for (size_t i = 0; i < frontier_size; ++i) {
+      const VertexId u = current[i];
       const double ru = r[static_cast<size_t>(u)];
       if (std::abs(ru) <= eps) {
         w[i] = 0.0;
         continue;
       }
       w[i] = ru;
-      ++c.push_ops;
+      ++push_ops;
       const auto nbrs = g.InNeighbors(u);
       const auto deg = static_cast<int64_t>(nbrs.size());
+      edge_traversals += deg;
       for (int64_t j = 0; j < deg; ++j) {
         if (j + kPrefetchDistance < deg) {
           PrefetchWrite(&r[static_cast<size_t>(nbrs[j + kPrefetchDistance])]);
@@ -248,36 +266,41 @@ void ParallelPushEngine::RunSigned(const DynamicGraph& g, PprState* state,
         const VertexId v = nbrs[static_cast<size_t>(j)];
         r[static_cast<size_t>(v)] +=
             (1.0 - alpha) * ru / static_cast<double>(g.OutDegree(v));
-        ++c.edge_traversals;
-        if (enqueue_new(v)) {
-          ++c.enqueue_attempts;
-          ++c.enqueued;
-        }
+        enqueue_new(v);
       }
     }
 
     // Session 2 — subtract what was pushed (increments that arrived after
     // the session-1 read survive) and keep u queued while |r[u]| > eps.
-    for (size_t i = 0; i < frontier.size(); ++i) {
-      const VertexId u = frontier[i];
+    for (size_t i = 0; i < frontier_size; ++i) {
+      const VertexId u = current[i];
       const auto ui = static_cast<size_t>(u);
       const double ru = w[i];
       p[ui] += alpha * ru;
       r[ui] -= ru;
-      if (std::abs(r[ui]) > eps) {
-        ++c.enqueue_attempts;
-        ++c.enqueued;
-        frontier_.Enqueue(0, u);
-      } else {
-        queued[ui] = 0;
-      }
+      const auto keep = static_cast<uint8_t>(std::abs(r[ui]) > eps);
+      queued[ui] = keep;
+      next[tail] = u;
+      tail += keep;
     }
-    frontier_size = frontier_.FlushToCurrent();
+    // Every next-frontier entry is one enqueue (session 1's new receivers
+    // plus session 2's re-queued vertices).
+    enqueued += static_cast<int64_t>(tail);
   }
+  stats->push_seconds += timer.Seconds();
+
+  PushCounters& c = stats->counters;
+  c.push_ops += push_ops;
+  c.edge_traversals += edge_traversals;
+  c.enqueue_attempts += enqueued;
+  c.enqueued += enqueued;
+  c.random_bytes += 24 * edge_traversals + 16 * push_ops;
 }
 
 size_t ParallelPushEngine::ApproxScratchBytes() const {
   size_t bytes = frontier_.ApproxBytes() + queued_.capacity();
+  bytes += (signed_current_.capacity() + signed_next_.capacity()) *
+           sizeof(VertexId);
   bytes += scratch_.frontier_w.capacity() * sizeof(double);
   bytes += scratch_.dense_w.capacity() * sizeof(double);
   bytes += scratch_.merged_pairs.capacity() *

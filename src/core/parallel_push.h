@@ -4,7 +4,7 @@
 // followed by a negative phase, each iterating the variant's kernel until
 // the frontier drains. A run nested in an enclosing parallel region
 // (PprIndex's across-source push) runs on one thread instead and pushes
-// residuals of either sign in one signed phase (see Run). Frontier
+// residuals of either sign in one signed phase (see RunSigned). Frontier
 // initialization supports both the literal full vertex scan of Algorithm 3
 // line 1 and the batch-local seeding from the vertices RestoreInvariant
 // touched (equivalent results; see PprOptions).
@@ -30,7 +30,7 @@ namespace dppr {
 struct PushStats {
   PushCounters counters;
   /// Rounds of a team run's positive and negative phase. A signed run
-  /// (nested in a parallel region) counts its rounds only in
+  /// (ParallelPushEngine::RunSigned) counts its rounds only in
   /// counters.iterations and leaves both at 0.
   int pos_iterations = 0;
   int neg_iterations = 0;
@@ -66,13 +66,19 @@ class ParallelPushEngine {
   /// configured variant's kernel: monotone residuals are what let the
   /// threads of a round detect duplicate enqueues without locks (§4.2).
   /// Under an enclosing region (PprIndex's across-source push) the run is
-  /// one thread's, so monotonicity buys nothing: it pushes residuals of
-  /// either sign in ONE signed phase with kOpt's round structure for every
-  /// variant, and opposite-signed waves of a batch cancel instead of
-  /// travelling the same paths one after the other. An all-positive run
-  /// (Initialize) pushes bit for bit what a one-thread kOpt run does.
+  /// one thread's, so monotonicity buys nothing: Run hands it to RunSigned.
   void Run(const DynamicGraph& g, PprState* state,
            std::span<const VertexId> touched, PushStats* stats);
+
+  /// The one-thread run: pushes residuals of either sign in ONE signed
+  /// phase with kOpt's round structure, whatever the variant, so
+  /// opposite-signed waves of a batch cancel instead of travelling the same
+  /// paths one after the other. An all-positive run (Initialize) pushes bit
+  /// for bit what a one-thread kOpt run does. Run calls it when nested;
+  /// an index at one thread asks for it directly
+  /// (DynamicPpr::SetSignedPush).
+  void RunSigned(const DynamicGraph& g, PprState* state,
+                 std::span<const VertexId> touched, PushStats* stats);
 
   const PprOptions& options() const { return options_; }
 
@@ -87,8 +93,6 @@ class ParallelPushEngine {
                        Phase phase, std::span<const VertexId> touched);
   void RunPhase(const DynamicGraph& g, PprState* state, Phase phase,
                 std::span<const VertexId> touched, PushStats* stats);
-  void RunSigned(const DynamicGraph& g, PprState* state,
-                 std::span<const VertexId> touched, PushStats* stats);
 
   PprOptions options_;
   Frontier frontier_;
@@ -98,6 +102,10 @@ class ParallelPushEngine {
   /// frontier or already enqueued for the next round). Plain bytes: a
   /// signed run has no concurrent writers. All clear between runs.
   std::vector<uint8_t> queued_;
+  /// A signed run's current and next frontier, n + 1 slots each (see
+  /// RunSigned).
+  std::vector<VertexId> signed_current_;
+  std::vector<VertexId> signed_next_;
 };
 
 }  // namespace dppr

@@ -99,9 +99,19 @@ class ReverseTargetState {
   ReverseOptions options_;
   double threshold_;  ///< alpha * eps
 
+  /// Gives the queue ring a power-of-two size above `n`, keeping the
+  /// queued vertices in FIFO order.
+  void SizeQueue(size_t n);
+
   std::vector<double> x_;
   std::vector<double> r_;
+  /// FIFO of vertices over threshold. in_queue_ holds each vertex at most
+  /// once, so a ring of more than |V| slots never overflows, and the spare
+  /// slot at tail takes the unconditional write of a rejected candidate.
+  /// head_/tail_ only grow; the slot is the index masked by ring size - 1.
   std::vector<VertexId> queue_;
+  size_t head_ = 0;
+  size_t tail_ = 0;
   std::vector<uint8_t> in_queue_;
   int64_t push_count_ = 0;
 };

@@ -34,6 +34,7 @@ void DynamicGraph::EnsureVertex(VertexId v) {
   if (static_cast<size_t>(v) >= out_.size()) {
     out_.resize(static_cast<size_t>(v) + 1);
     in_.resize(static_cast<size_t>(v) + 1);
+    out_degree_.resize(static_cast<size_t>(v) + 1, 0);
   }
 }
 
@@ -42,6 +43,7 @@ void DynamicGraph::AddEdge(VertexId u, VertexId v) {
   EnsureVertex(std::max(u, v));
   out_[static_cast<size_t>(u)].push_back(v);
   in_[static_cast<size_t>(v)].push_back(u);
+  ++out_degree_[static_cast<size_t>(u)];
   ++num_edges_;
   edge_acc_ += EdgeMix(u, v);
 }
@@ -64,6 +66,7 @@ bool DynamicGraph::RemoveEdge(VertexId u, VertexId v) {
   if (!SwapErase(out_[static_cast<size_t>(u)], v)) return false;
   const bool in_ok = SwapErase(in_[static_cast<size_t>(v)], u);
   DPPR_CHECK_MSG(in_ok, "in/out adjacency desynchronized");
+  --out_degree_[static_cast<size_t>(u)];
   --num_edges_;
   edge_acc_ -= EdgeMix(u, v);
   return true;
@@ -87,6 +90,7 @@ bool DynamicGraph::HasEdge(VertexId u, VertexId v) const {
 void DynamicGraph::ReserveVertices(VertexId n) {
   out_.reserve(static_cast<size_t>(n));
   in_.reserve(static_cast<size_t>(n));
+  out_degree_.reserve(static_cast<size_t>(n));
 }
 
 uint64_t DynamicGraph::Checksum() const {

@@ -28,6 +28,13 @@ namespace dppr {
 /// multiplicity, matching the push semantics where each parallel edge
 /// carries transition probability mass). Self-loops are allowed.
 ///
+/// Out-degrees are also kept in a compact array beside the adjacency:
+/// out_degree_[v] == out_[v].size() for every vertex, maintained by every
+/// mutator (EnsureVertex, AddEdge, RemoveEdge). Push kernels read the
+/// out-degree of every in-neighbor they scatter to, so OutDegree() reads 4
+/// bytes from a dense array instead of two pointers from a 24-byte vector
+/// header.
+///
 /// Thread-safety: any number of concurrent readers; mutations must be
 /// externally serialized and not overlap reads.
 class DynamicGraph {
@@ -63,7 +70,7 @@ class DynamicGraph {
 
   VertexId OutDegree(VertexId v) const {
     DPPR_DCHECK(IsValid(v));
-    return static_cast<VertexId>(out_[static_cast<size_t>(v)].size());
+    return out_degree_[static_cast<size_t>(v)];
   }
   VertexId InDegree(VertexId v) const {
     DPPR_DCHECK(IsValid(v));
@@ -108,6 +115,7 @@ class DynamicGraph {
  private:
   std::vector<std::vector<VertexId>> out_;
   std::vector<std::vector<VertexId>> in_;
+  std::vector<VertexId> out_degree_;  ///< out_degree_[v] == out_[v].size()
   EdgeCount num_edges_ = 0;
   uint64_t edge_acc_ = 0;  ///< commutative multiset hash of the edges
 };

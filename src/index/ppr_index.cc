@@ -585,11 +585,15 @@ void PprIndex::PushAll(const std::vector<SourceSlot*>& slots,
 void PprIndex::PushSource(SourceSlot* slot, ParallelPushEngine* engine,
                           bool initialize, uint64_t epoch_increment) {
   slot->ppr->SetEngine(engine);
+  // At one thread no push owns a team: every push takes the signed run
+  // that Run gives each source inside the across-source region.
+  slot->ppr->SetSignedPush(NumThreads() == 1);
   if (initialize) {
     slot->ppr->Initialize();
   } else {
     slot->ppr->RunPushOnTouched(/*accumulate=*/true);
   }
+  slot->ppr->SetSignedPush(false);
   slot->ppr->SetEngine(nullptr);
   slot->snapshot.Publish(slot->ppr->Estimates(), epoch_increment);
 }

@@ -5,7 +5,8 @@
 //    forward power-iteration oracle: pi_s(t) read from target t's reverse
 //    state must match the forward PPR of s evaluated at t, within eps,
 //    across a sliding-window feed (insertions AND deletions, including
-//    vertices that go dangling mid-stream).
+//    vertices that go dangling mid-stream); its ring-buffer queue drains
+//    in exactly the order of a plain FIFO (bitwise x and r).
 //  * WalkIndexTest — the determinism contract (two replicas fed the same
 //    update sequence hold bitwise-identical indexes, which is what lets
 //    hybrid queries route purely by target) and the repair-vs-regenerate
@@ -22,6 +23,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <memory>
 #include <random>
 #include <string>
@@ -29,6 +31,7 @@
 
 #include "analysis/power_iteration.h"
 #include "estimator/estimator_index.h"
+#include "estimator/reverse_push.h"
 #include "estimator/walk_index.h"
 #include "gen/generators.h"
 #include "graph/dynamic_graph.h"
@@ -167,6 +170,141 @@ TEST(ReversePushTest, ReverseTopKAgreesWithPairReads) {
                                  5)
                    .known)
       << "an unregistered target must be reported unknown, not zero";
+}
+
+// ReverseTargetState written as a plain FIFO drain over a std::deque:
+// the same restore identity and the same |r| > alpha*eps test.
+struct ReferenceReverse {
+  const DynamicGraph* g;
+  VertexId target;
+  double alpha;
+  double threshold;
+  std::vector<double> x, r;
+  std::vector<uint8_t> in_queue;
+  std::deque<VertexId> queue;
+
+  double Base(VertexId u) const {
+    if (u != target) return 0.0;
+    return g->OutDegree(target) > 0 ? alpha : 1.0;
+  }
+  void Grow(VertexId n) {
+    x.resize(static_cast<size_t>(n), 0.0);
+    r.resize(static_cast<size_t>(n), 0.0);
+    in_queue.resize(static_cast<size_t>(n), 0);
+  }
+  void Enqueue(VertexId u) {
+    if (in_queue[u] == 0 && std::abs(r[u]) > threshold) {
+      in_queue[u] = 1;
+      queue.push_back(u);
+    }
+  }
+  void Restore(VertexId u) {
+    double row = Base(u) - x[u];
+    if (g->OutDegree(u) > 0) {
+      double sum = 0.0;
+      for (VertexId w : g->OutNeighbors(u)) sum += x[w];
+      row += (1.0 - alpha) * sum / static_cast<double>(g->OutDegree(u));
+    }
+    r[u] = row;
+    Enqueue(u);
+  }
+  void Drain() {
+    while (!queue.empty()) {
+      const VertexId v = queue.front();
+      queue.pop_front();
+      in_queue[v] = 0;
+      const double rv = r[v];
+      if (std::abs(rv) <= threshold) continue;
+      x[v] += rv;
+      r[v] = 0.0;
+      for (VertexId u : g->InNeighbors(v)) {
+        r[u] += (1.0 - alpha) * rv / static_cast<double>(g->OutDegree(u));
+        Enqueue(u);
+      }
+    }
+  }
+};
+
+TEST(ReversePushTest, RingQueueMatchesReferenceFifoBitwise) {
+  // The ring-buffer queue must drain in exactly the FIFO order of a plain
+  // deque, so x and r stay bitwise equal through a feed with deletions and
+  // through a ring regrow that keeps pending entries (vertices born while
+  // restores are queued).
+  constexpr uint64_t kSeed = 89;
+  SCOPED_TRACE(testing::Message() << "seed=" << kSeed);
+  EstimatorWorkload workload(96, 700, kSeed, 1, 8);
+  ASSERT_GE(workload.batches.size(), 4u);
+  DynamicGraph graph =
+      DynamicGraph::FromEdges(workload.initial, workload.num_vertices);
+  ReverseOptions options;
+  options.eps = 1e-6;
+  const VertexId t = workload.hubs[0];
+  ReverseTargetState state(&graph, t, options);
+  ReferenceReverse ref{&graph, t, options.alpha,
+                       options.alpha * options.eps, {}, {}, {}, {}};
+  ref.Grow(graph.NumVertices());
+  ref.r[t] = ref.Base(t);
+  ref.Enqueue(t);
+  ref.Drain();
+
+  auto expect_same = [&](const std::string& when) {
+    ASSERT_EQ(state.estimates().size(), ref.x.size()) << when;
+    for (size_t v = 0; v < ref.x.size(); ++v) {
+      ASSERT_EQ(state.estimates()[v], ref.x[v]) << when << " v=" << v;
+      ASSERT_EQ(state.residuals()[v], ref.r[v]) << when << " v=" << v;
+    }
+  };
+  expect_same("initialize");
+
+  int deletions = 0;
+  for (size_t b = 0; b < workload.batches.size(); ++b) {
+    std::vector<VertexId> touched;
+    for (const EdgeUpdate& update : workload.batches[b]) {
+      graph.Apply(update);
+      touched.push_back(update.u);
+      deletions += update.op == UpdateOp::kDelete ? 1 : 0;
+    }
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    state.EnsureCapacity(graph.NumVertices());
+    ref.Grow(graph.NumVertices());
+    for (VertexId u : touched) {
+      state.RestoreVertex(u);
+      ref.Restore(u);
+    }
+    state.Push();
+    ref.Drain();
+    expect_same("batch " + std::to_string(b));
+  }
+  EXPECT_GT(deletions, 0);
+
+  // Grow the vertex set while restores are queued: the ring regrows and
+  // must keep the pending vertices in order.
+  const VertexId n = graph.NumVertices();
+  std::vector<VertexId> touched;
+  for (VertexId u = 0; u < 24; ++u) {
+    graph.AddEdge(u, t);
+    touched.push_back(u);
+  }
+  for (VertexId u : touched) {
+    state.RestoreVertex(u);
+    ref.Restore(u);
+  }
+  for (VertexId born = n; born < 3 * n; born += 8) {
+    graph.AddEdge(born, t);
+    graph.AddEdge(t, born);
+  }
+  state.EnsureCapacity(graph.NumVertices());
+  ref.Grow(graph.NumVertices());
+  for (VertexId born = n; born < 3 * n; born += 8) {
+    state.RestoreVertex(born);
+    ref.Restore(born);
+  }
+  state.RestoreVertex(t);
+  ref.Restore(t);
+  state.Push();
+  ref.Drain();
+  expect_same("after growth");
 }
 
 // ------------------------------------------------------------ walk index

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "graph/csr.h"
 #include "graph/dynamic_graph.h"
@@ -154,6 +156,79 @@ TEST(DynamicGraphTest, ChurnStressInOutStayConsistent) {
   }
   EXPECT_EQ(from_out, reference);
   EXPECT_EQ(from_in, reference);
+}
+
+TEST(DynamicGraphTest, OutDegreeArrayTracksAdjacencyUnderChurn) {
+  // The compact out-degree array must equal the out-adjacency length of
+  // every vertex through every mutator — FromEdges, AddEdge (multi-edges
+  // included), successful and failed RemoveEdge, and vertex growth — and
+  // must not leak into the content fingerprint.
+  constexpr uint64_t kSeed = 20260419;
+  SCOPED_TRACE(testing::Message() << "seed=" << kSeed);
+  Rng rng(kSeed);
+  std::vector<Edge> initial;
+  for (int i = 0; i < 300; ++i) {
+    initial.push_back({static_cast<VertexId>(rng.NextBounded(40)),
+                       static_cast<VertexId>(rng.NextBounded(40))});
+  }
+  DynamicGraph g = DynamicGraph::FromEdges(initial, 40);
+  std::multiset<std::pair<VertexId, VertexId>> reference;
+  for (const Edge& e : initial) reference.insert({e.u, e.v});
+
+  auto check = [&](int step) {
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      ASSERT_EQ(g.OutDegree(v),
+                static_cast<VertexId>(g.OutNeighbors(v).size()))
+          << "step " << step << " v=" << v;
+    }
+    std::vector<Edge> edges;
+    for (const auto& [u, v] : reference) edges.push_back({u, v});
+    ASSERT_EQ(g.Checksum(),
+              DynamicGraph::FromEdges(edges, g.NumVertices()).Checksum())
+        << "step " << step;
+  };
+  check(-1);
+
+  for (int step = 0; step < 4000; ++step) {
+    const auto n = static_cast<uint64_t>(g.NumVertices());
+    const uint64_t op = rng.NextBounded(100);
+    if (op < 40) {
+      // Endpoints up to two past the current range grow the vertex set.
+      const auto u = static_cast<VertexId>(rng.NextBounded(n + 2));
+      const auto v = static_cast<VertexId>(rng.NextBounded(n + 2));
+      g.AddEdge(u, v);
+      reference.insert({u, v});
+    } else if (op < 50 && !reference.empty()) {
+      // Duplicate an existing edge: a multi-edge counts twice.
+      auto it = reference.begin();
+      std::advance(it, static_cast<int64_t>(rng.NextBounded(reference.size())));
+      const auto [u, v] = *it;
+      g.AddEdge(u, v);
+      reference.insert({u, v});
+    } else if (op < 85 && !reference.empty()) {
+      auto it = reference.begin();
+      std::advance(it, static_cast<int64_t>(rng.NextBounded(reference.size())));
+      ASSERT_TRUE(g.RemoveEdge(it->first, it->second)) << "step " << step;
+      reference.erase(it);
+    } else if (op < 95) {
+      // Failed removals: an absent pair, or an endpoint out of range.
+      const uint64_t checksum = g.Checksum();
+      const auto u = static_cast<VertexId>(rng.NextBounded(n));
+      const auto v = static_cast<VertexId>(rng.NextBounded(n));
+      if (reference.count({u, v}) == 0) {
+        ASSERT_FALSE(g.RemoveEdge(u, v)) << "step " << step;
+      }
+      ASSERT_FALSE(g.RemoveEdge(u, static_cast<VertexId>(n) + 3));
+      ASSERT_FALSE(g.RemoveEdge(static_cast<VertexId>(n) + 3, v));
+      ASSERT_EQ(g.Checksum(), checksum) << "step " << step;
+    } else {
+      g.ReserveVertices(static_cast<VertexId>(n) + 8);
+      g.EnsureVertex(static_cast<VertexId>(n + rng.NextBounded(4)));
+    }
+    if (step % 250 == 0) check(step);
+  }
+  check(4000);
+  EXPECT_EQ(g.NumEdges(), static_cast<EdgeCount>(reference.size()));
 }
 
 // -------------------------------------------------------------------- CSR

@@ -20,6 +20,7 @@
 #include "index/ppr_index.h"
 #include "stream/edge_stream.h"
 #include "stream/sliding_window.h"
+#include "util/macros.h"
 #include "util/parallel.h"
 
 namespace dppr {
@@ -285,6 +286,65 @@ TEST(PprIndexTest, AcrossSourcePushesOneSignedPhase) {
             0.75 * static_cast<double>(intra.counters.push_ops))
       << "across " << across.counters.push_ops << " vs intra "
       << intra.counters.push_ops;
+}
+
+TEST(PprIndexTest, OneThreadIndexPushesLikeTheNestedRun) {
+  // At one thread every push of the index runs on one thread, exactly as
+  // each source does inside the across-source region: both take the
+  // engine's signed run, so a one-thread index does bit for bit the work
+  // of a two-thread across-source one — not the two-phase kernels of a
+  // team run.
+  constexpr uint64_t kSeed = 71;
+  SCOPED_TRACE(testing::Message() << "seed=" << kSeed);
+  auto edges = GenerateRmat({.scale = 8, .avg_degree = 8, .seed = kSeed});
+  EdgeStream stream =
+      EdgeStream::RandomPermutation(std::move(edges), kSeed + 1);
+  std::vector<Edge> initial;
+  auto batches = RecordWindowBatches(&stream, 0.3, 0.02, 8, &initial);
+  ASSERT_FALSE(batches.empty());
+
+  struct Result {
+    PushStats total;
+    std::vector<std::vector<double>> p, r;
+  };
+  auto run = [&](int threads) {
+    ScopedNumThreads guard(threads);
+    DynamicGraph graph =
+        DynamicGraph::FromEdges(initial, stream.NumVertices());
+    IndexOptions options;
+    options.ppr.eps = 1e-6;
+    PprIndex index(&graph, TopOutDegreeVertices(graph, 6), options);
+    Result result;
+    index.Initialize();
+    result.total.Add(index.last_batch_stats().sources_total);
+    for (const UpdateBatch& batch : batches) {
+      index.ApplyBatch(batch);
+      EXPECT_EQ(index.last_batch_stats().across_sources, threads > 1);
+      result.total.Add(index.last_batch_stats().sources_total);
+    }
+    for (size_t h = 0; h < index.NumSources(); ++h) {
+      result.p.push_back(index.Source(h).Estimates());
+      result.r.push_back(index.Source(h).Residuals());
+    }
+    return result;
+  };
+
+  // libgomp's barriers are invisible to TSan (see ci/run_tsan.sh): under
+  // TSan both sides run at one thread.
+  const Result one = run(1);
+  const Result nested = run(DPPR_TSAN_BUILD ? 1 : 2);
+  EXPECT_GT(one.total.counters.iterations, 0);
+  EXPECT_EQ(one.total.pos_iterations, 0);
+  EXPECT_EQ(one.total.neg_iterations, 0);
+  EXPECT_EQ(one.total.counters.push_ops, nested.total.counters.push_ops);
+  EXPECT_EQ(one.total.counters.edge_traversals,
+            nested.total.counters.edge_traversals);
+  EXPECT_EQ(one.total.counters.iterations, nested.total.counters.iterations);
+  ASSERT_EQ(one.p.size(), nested.p.size());
+  for (size_t h = 0; h < one.p.size(); ++h) {
+    EXPECT_EQ(one.p[h], nested.p[h]) << "source " << h;
+    EXPECT_EQ(one.r[h], nested.r[h]) << "source " << h;
+  }
 }
 
 TEST(PprIndexTest, NestedInitializeMatchesOneThreadOpt) {

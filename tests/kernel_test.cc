@@ -6,16 +6,21 @@
 //    across run lengths covering every vector/tail split.
 //  * KernelEquivalence — property tests: the adaptive and forced-dense
 //    push kernels land within eps of the power-iteration oracle and
-//    within 2*eps of PushIterationOpt, dense rounds actually fire, and
-//    the scalar and SIMD engines agree bitwise.
+//    within 2*eps of PushIterationOpt, dense rounds actually fire, the
+//    scalar and SIMD engines agree bitwise, and the one-thread signed
+//    run matches a plain reference loop bit for bit under deletions.
 //  * FrontierDense — the dense bitvector frontier mode's conversions.
 //  * NumaTopology — cpulist parsing and ScopedNodeBinding's no-op and
 //    restore guarantees.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/metrics.h"
@@ -316,6 +321,123 @@ TEST(KernelEquivalenceTest, ScalarAndSimdEnginesAgreeBitwise) {
           << "threads=" << threads << " v=" << v;
     }
   }
+}
+
+// The one-thread signed run (ParallelPushEngine::RunSigned, the push of
+// every serving path) written as plainly as possible: kOpt's two sessions
+// per round over a std::vector frontier, |r| > eps as the push and enqueue
+// test, counters bumped where the work happens.
+struct ReferenceCounts {
+  int64_t push_ops = 0;
+  int64_t edge_traversals = 0;
+  int64_t enqueued = 0;
+  int64_t iterations = 0;
+};
+
+void ReferenceSignedPush(const DynamicGraph& g, PprState* s, double alpha,
+                         double eps, const std::vector<VertexId>& touched,
+                         ReferenceCounts* c) {
+  s->Resize(g.NumVertices());
+  std::vector<uint8_t> queued(static_cast<size_t>(g.NumVertices()), 0);
+  std::vector<VertexId> frontier, next;
+  auto enqueue = [&](VertexId v, std::vector<VertexId>* out) {
+    if (queued[v] == 0 && std::abs(s->r[v]) > eps) {
+      queued[v] = 1;
+      out->push_back(v);
+    }
+  };
+  for (VertexId u : touched) enqueue(u, &frontier);
+  while (!frontier.empty()) {
+    ++c->iterations;
+    std::vector<double> w(frontier.size(), 0.0);
+    for (size_t i = 0; i < frontier.size(); ++i) {
+      const double ru = s->r[frontier[i]];
+      if (std::abs(ru) <= eps) continue;
+      w[i] = ru;
+      ++c->push_ops;
+      for (VertexId v : g.InNeighbors(frontier[i])) {
+        s->r[v] += (1.0 - alpha) * ru / static_cast<double>(g.OutDegree(v));
+        ++c->edge_traversals;
+        enqueue(v, &next);
+      }
+    }
+    for (size_t i = 0; i < frontier.size(); ++i) {
+      const VertexId u = frontier[i];
+      s->p[u] += alpha * w[i];
+      s->r[u] -= w[i];
+      if (std::abs(s->r[u]) > eps) {
+        next.push_back(u);
+      } else {
+        queued[u] = 0;
+      }
+    }
+    c->enqueued += static_cast<int64_t>(next.size());
+    frontier.swap(next);
+    next.clear();
+  }
+}
+
+// The engine's signed run is pinned BITWISE to the reference loop above
+// through an initialization and 8 sliding-window batches whose deletions
+// drive residuals negative: same estimates, same residuals, same work.
+TEST(KernelEquivalenceTest, SignedRunMatchesReferenceLoopUnderDeletions) {
+  constexpr uint64_t kSeed = 83;
+  SCOPED_TRACE(testing::Message() << "seed=" << kSeed);
+  auto edges = GenerateRmat({.scale = 9, .avg_degree = 8, .seed = kSeed});
+  EdgeStream stream =
+      EdgeStream::RandomPermutation(std::move(edges), kSeed + 1);
+  SlidingWindow window(&stream, 0.5);
+  DynamicGraph g_engine =
+      DynamicGraph::FromEdges(window.InitialEdges(), stream.NumVertices());
+  DynamicGraph g_ref = g_engine;
+  PprOptions options = KernelOptions();
+  const VertexId source = 1;
+  DynamicPpr ppr(&g_engine, source, options);
+  ppr.SetSignedPush(true);
+  PprState ref(source, g_ref.NumVertices());
+
+  auto expect_same = [&](const std::string& when,
+                         const ReferenceCounts& counts) {
+    const PushCounters& c = ppr.last_stats().counters;
+    EXPECT_EQ(c.push_ops, counts.push_ops) << when;
+    EXPECT_EQ(c.edge_traversals, counts.edge_traversals) << when;
+    EXPECT_EQ(c.enqueued, counts.enqueued) << when;
+    EXPECT_EQ(c.iterations, counts.iterations) << when;
+    EXPECT_EQ(ppr.last_stats().neg_iterations, 0) << when;
+    ASSERT_EQ(ppr.Estimates().size(), ref.p.size()) << when;
+    for (size_t v = 0; v < ref.p.size(); ++v) {
+      ASSERT_EQ(ppr.Estimates()[v], ref.p[v]) << when << " v=" << v;
+      ASSERT_EQ(ppr.Residuals()[v], ref.r[v]) << when << " v=" << v;
+    }
+  };
+
+  ppr.Initialize();
+  ReferenceCounts counts;
+  ref.ResetToUnitResidual();
+  ReferenceSignedPush(g_ref, &ref, options.alpha, options.eps, {source},
+                      &counts);
+  expect_same("initialize", counts);
+
+  const EdgeCount k = std::max<EdgeCount>(window.WindowSize() / 25, 1);
+  int deletions = 0;
+  for (int slide = 0; slide < 8; ++slide) {
+    ASSERT_TRUE(window.CanSlide(k));
+    const UpdateBatch batch = window.NextBatch(k);
+    ppr.ApplyBatch(batch);
+    std::vector<VertexId> touched;
+    for (const EdgeUpdate& update : batch) {
+      g_ref.Apply(update);
+      RestoreInvariant(g_ref, &ref, update, options.alpha);
+      touched.push_back(update.u);
+      deletions += update.op == UpdateOp::kDelete ? 1 : 0;
+    }
+    counts = ReferenceCounts();
+    ReferenceSignedPush(g_ref, &ref, options.alpha, options.eps, touched,
+                        &counts);
+    expect_same("slide " + std::to_string(slide), counts);
+    ASSERT_LE(ppr.state().MaxAbsResidual(), options.eps);
+  }
+  EXPECT_GT(deletions, 0);
 }
 
 // --------------------------------------------------------- FrontierDense
